@@ -52,10 +52,7 @@ def observed_counters(profile):
         "gvt_scan_steps": profile["gvt"]["scan_steps"],
         "queue_scan_steps": profile["queues"]["scan_steps"],
         "mem_probe_steps": profile["memory"]["probe_steps"],
-        "mem_slow_probes": profile["memory"]["slow_probes"],
-        "mem_epoch_bumps": profile["memory"]["epoch_bumps"],
         "conflict_probe_steps": profile["conflict_model"]["probe_steps"],
-        "conflict_bank_probes": profile["conflict_model"]["bank_probes"],
     }
 
 

@@ -1024,8 +1024,6 @@ class Simulator(AllocAPI):
         for buf in self._spill_buffers:
             buf.reindex()
         self._frontier.rebuild(self._live)
-        # cached owner sort keys went stale with the rewrite
-        self.memory.refresh_order_keys()
 
     # ==================================================================
     # spills

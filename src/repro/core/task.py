@@ -76,7 +76,6 @@ class TaskDesc:
         # speculative owner state (installed by SpecMemory.attach_owner)
         "undo", "reads", "writes", "read_lines", "write_lines",
         "deps", "dependents", "sig_read", "sig_write", "_fp_cached",
-        "_okey", "_line_memo", "_sig_row",
     )
 
     def __init__(self, fn: Callable, args: Tuple, domain: Domain,

@@ -16,7 +16,7 @@ context.
 """
 
 from .address import AddressSpace, Region
-from .bloom import BloomSignature, H3HashFamily, SignatureBank
+from .bloom import BloomSignature, H3HashFamily
 from .undo_log import UndoLog
 from .memory import SpecMemory, AccessRecord
 from .conflicts import ConflictPolicy, BloomConflictModel, PreciseConflictModel
@@ -27,7 +27,6 @@ __all__ = [
     "Region",
     "BloomSignature",
     "H3HashFamily",
-    "SignatureBank",
     "UndoLog",
     "SpecMemory",
     "AccessRecord",

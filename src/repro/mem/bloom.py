@@ -10,8 +10,7 @@ Carter & Wegman: each hash function is a matrix of random words; the hash
 of a key is the XOR of the rows selected by the key's set bits. Rather
 than walking key bits one at a time, the family precomputes byte-sliced
 tabulation tables (six 256-entry partial-XOR tables per function for
-48-bit keys), so a hash is six table lookups and XORs — and whole key
-*arrays* hash in a handful of numpy gathers (:meth:`indices_array`).
+48-bit keys), so a hash is six table lookups and XORs.
 
 :class:`BloomSignature` is a real bit-accurate signature used both
 directly (unit tests, small runs) and as the occupancy source for the
@@ -19,19 +18,12 @@ simulator's sampled false-positive model (see :mod:`repro.mem.conflicts`).
 Inserts and probes go through per-key *masks* (one big int with all k
 bits set), so an insert is two big-int ops and a popcount delta instead
 of k per-bit updates.
-
-:class:`SignatureBank` holds many signatures as rows of one numpy bitmap
-(struct-of-arrays): ``probe_rows`` answers "which of these live tasks'
-signatures hit this key?" in one vectorized pass, replacing the
-per-task-pair Python probe loop of exact conflict detection.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, List, Tuple
-
-import numpy as np
 
 from ..errors import MemoryError_
 
@@ -74,22 +66,23 @@ class H3HashFamily:
         # Byte-sliced tabulation: tables[fn][b][v] is the XOR of matrix rows
         # 8b..8b+7 selected by the bits of byte value v. A key's hash under
         # fn is then the XOR of _KEY_BYTES lookups, one per key byte.
-        mats = np.array(self._matrices, dtype=np.uint32)            # (k, 48)
-        sel = ((np.arange(256)[:, None] >> np.arange(8)) & 1) == 1  # (256, 8)
-        tables = np.zeros((k, _KEY_BYTES, 256), dtype=np.uint32)
-        for b in range(_KEY_BYTES):
-            rows = mats[:, 8 * b: 8 * b + 8]                        # (k, 8)
-            contrib = np.where(sel[None, :, :], rows[:, None, :], np.uint32(0))
-            tables[:, b, :] = np.bitwise_xor.reduce(contrib, axis=2)
-        self._tables = tables
-        self._tables_py = tables.tolist()  # plain nested lists: scalar path
-        self._bank_offsets = (np.arange(k, dtype=np.int64) * self.bank_bits)
-        # key → [indices tuple, mask int, (word idx, word mask) or None].
-        # Bounded (see _MAX_CACHED_KEYS); values are immutable or private.
+        self._tables: List[List[List[int]]] = []
+        for matrix in self._matrices:
+            fn_tables = []
+            for b in range(_KEY_BYTES):
+                rows = matrix[8 * b: 8 * b + 8]
+                table = [0] * 256
+                for v in range(1, 256):
+                    low = v & -v  # table[v] extends table[v minus its low bit]
+                    table[v] = table[v ^ low] ^ rows[low.bit_length() - 1]
+                fn_tables.append(table)
+            self._tables.append(fn_tables)
+        # key → (indices tuple, mask int). Bounded (see _MAX_CACHED_KEYS);
+        # values are immutable.
         self._key_cache: dict = {}
 
     # ------------------------------------------------------------------
-    def _cache_entry(self, key: int) -> list:
+    def _cache_entry(self, key: int) -> tuple:
         entry = self._key_cache.get(key)
         if entry is not None:
             return entry
@@ -99,14 +92,14 @@ class H3HashFamily:
         kbytes = [(masked >> (8 * b)) & 0xFF for b in range(_KEY_BYTES)]
         out = []
         mask = 0
-        for fn, table in enumerate(self._tables_py):
+        for fn, table in enumerate(self._tables):
             h = 0
             for b in range(_KEY_BYTES):
                 h ^= table[b][kbytes[b]]
             idx = fn * self.bank_bits + h
             out.append(idx)
             mask |= 1 << idx
-        entry = [tuple(out), mask, None]
+        entry = (tuple(out), mask)
         self._key_cache[key] = entry
         return entry
 
@@ -122,31 +115,6 @@ class H3HashFamily:
     def mask(self, key: int) -> int:
         """All ``k`` of the key's bits as one ``m_bits``-wide int mask."""
         return self._cache_entry(key)[1]
-
-    def word_masks(self, key: int):
-        """The key's bits grouped per 64-bit word: ``(word_idx, word_mask)``
-        numpy arrays with duplicate words merged (for :class:`SignatureBank`
-        rows, where two indices in one word must OR in a single update)."""
-        entry = self._cache_entry(key)
-        wm = entry[2]
-        if wm is None:
-            agg: dict = {}
-            for idx in entry[0]:
-                w = idx >> 6
-                agg[w] = agg.get(w, 0) | (1 << (idx & 63))
-            wm = (np.fromiter(agg.keys(), dtype=np.intp, count=len(agg)),
-                  np.fromiter(agg.values(), dtype=np.uint64, count=len(agg)))
-            entry[2] = wm
-        return wm
-
-    def indices_array(self, keys) -> np.ndarray:
-        """Vectorized :meth:`indices` over a key array → ``(n, k)`` int64."""
-        masked = np.asarray(keys, dtype=np.int64) & _KEY_MASK
-        h = np.zeros((self.k, masked.shape[0]), dtype=np.uint32)
-        for b in range(_KEY_BYTES):
-            kbytes = ((masked >> (8 * b)) & 0xFF).astype(np.intp)
-            h ^= self._tables[:, b, kbytes]
-        return h.T.astype(np.int64) + self._bank_offsets[None, :]
 
 
 class BloomSignature:
@@ -181,37 +149,6 @@ class BloomSignature:
         """Insert every key."""
         for key in keys:
             self.insert(key)
-
-    def insert_many(self, keys) -> int:
-        """Batched :meth:`insert` over a key array; returns new-bit count."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return 0
-        self._inserted += int(keys.size)
-        idx = self.family.indices_array(keys).ravel()
-        bitmap = np.zeros(self.family.m_bits, dtype=np.uint8)
-        bitmap[idx] = 1
-        mask = int.from_bytes(
-            np.packbits(bitmap, bitorder="little").tobytes(), "little")
-        bits = self._bits
-        new = bits | mask
-        added = (new ^ bits).bit_count()
-        if added:
-            self._popcount += added
-            self._bits = new
-        return added
-
-    def contains_many(self, keys) -> np.ndarray:
-        """Batched :meth:`maybe_contains` → bool array."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        n_words = (self.family.m_bits + 63) // 64
-        words = np.frombuffer(
-            self._bits.to_bytes(n_words * 8, "little"), dtype=np.uint64)
-        idx = self.family.indices_array(keys)            # (n, k)
-        hit = (words[idx >> 6] >> (idx & 63).astype(np.uint64)) & 1
-        return hit.all(axis=1)
 
     def clear(self) -> None:
         """Reset the signature to empty."""
@@ -250,92 +187,3 @@ class BloomSignature:
         rate = (pc / self.family.m_bits) ** self.family.k
         self._rate_cache = (pc, rate)
         return rate
-
-
-class SignatureBank:
-    """Many Bloom signatures as rows of one numpy bitmap (struct-of-arrays).
-
-    Rows are acquired/released as tasks register/unregister; the payoff is
-    :meth:`probe_rows`, which answers "which of these rows contain this
-    key?" for the whole live set in a handful of vectorized ops — the
-    operation exact conflict detection performs on every access.
-    """
-
-    def __init__(self, family: H3HashFamily, capacity: int = 64):
-        if capacity <= 0:
-            raise MemoryError_("bank capacity must be positive")
-        self.family = family
-        self.words_per_row = (family.m_bits + 63) // 64
-        self._words = np.zeros((capacity, self.words_per_row), dtype=np.uint64)
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-        self.capacity = capacity
-        #: bitmap-level update/probe operations (profiling)
-        self.bitmap_ops = 0
-
-    def acquire(self) -> int:
-        """Claim an empty row (growing the bank geometrically when full)."""
-        if not self._free:
-            old = self.capacity
-            self.capacity = old * 2
-            grown = np.zeros((self.capacity, self.words_per_row),
-                             dtype=np.uint64)
-            grown[:old] = self._words
-            self._words = grown
-            self._free = list(range(self.capacity - 1, old - 1, -1))
-        return self._free.pop()
-
-    def release(self, row: int) -> None:
-        """Return a row to the pool, cleared."""
-        self._words[row] = 0
-        self._free.append(row)
-
-    def clear(self, row: int) -> None:
-        self._words[row] = 0
-
-    def insert(self, row: int, key: int) -> bool:
-        """Set the key's bits in ``row``; True when any bit was new."""
-        widx, wmask = self.family.word_masks(key)
-        self.bitmap_ops += 1
-        r = self._words[row]
-        before = r[widx]
-        after = before | wmask
-        if (after == before).all():
-            return False
-        r[widx] = after
-        return True
-
-    def insert_many(self, row: int, keys) -> None:
-        """Batched insert of a key array into one row."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        idx = self.family.indices_array(keys).ravel()
-        self.bitmap_ops += 1
-        np.bitwise_or.at(self._words[row], idx >> 6,
-                         np.uint64(1) << (idx & 63).astype(np.uint64))
-
-    def probe(self, row: int, key: int) -> bool:
-        """True when all the key's bits are set in ``row``."""
-        widx, wmask = self.family.word_masks(key)
-        self.bitmap_ops += 1
-        return bool(((self._words[row, widx] & wmask) == wmask).all())
-
-    def probe_rows(self, key: int, rows) -> np.ndarray:
-        """Vectorized probe of many rows → bool array (aligned to ``rows``)."""
-        widx, wmask = self.family.word_masks(key)
-        self.bitmap_ops += 1
-        rows = np.asarray(rows, dtype=np.intp)
-        sub = self._words[rows[:, None], widx[None, :]]
-        return ((sub & wmask) == wmask).all(axis=1)
-
-    def popcount(self, row: int) -> int:
-        """Set bits in ``row`` (computed on demand)."""
-        return int(np.bitwise_count(self._words[row]).sum())
-
-    def fill(self, row: int) -> float:
-        """Fill fraction of ``row``."""
-        return self.popcount(row) / self.family.m_bits
-
-    def false_positive_rate(self, row: int) -> float:
-        """Same mean-fill model as :meth:`BloomSignature.false_positive_rate`."""
-        return (self.popcount(row) / self.family.m_bits) ** self.family.k

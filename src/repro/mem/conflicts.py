@@ -25,11 +25,9 @@ the simulator).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict
 
-import numpy as np
-
-from .bloom import BloomSignature, H3HashFamily, SignatureBank
+from .bloom import BloomSignature, H3HashFamily
 
 
 class ConflictPolicy:
@@ -69,11 +67,6 @@ class ConflictPolicy:
         """
         raise NotImplementedError
 
-    def live_owners(self) -> List:
-        """Live registered owners, in registration order (used by
-        :meth:`repro.mem.memory.SpecMemory.refresh_order_keys`)."""
-        raise NotImplementedError
-
 
 class PreciseConflictModel(ConflictPolicy):
     """Idealized precise conflict detection — never a false positive."""
@@ -103,9 +96,6 @@ class PreciseConflictModel(ConflictPolicy):
     def false_conflict(self, owner, line: int, is_write: bool):
         return None
 
-    def live_owners(self) -> List:
-        return list(self._live)
-
     @property
     def live_count(self) -> int:
         return len(self._live)
@@ -126,11 +116,6 @@ class BloomConflictModel(ConflictPolicy):
         # probe order iterate this — set iteration would make the chosen
         # victim depend on object addresses and differ run to run
         self._live: Dict = {}
-        # exact mode mirrors every signature into struct-of-arrays banks
-        # (one row per live task) so a probe against the whole live set is
-        # a single vectorized pass instead of a Python pair loop
-        self._bank_read = SignatureBank(self.family) if exact else None
-        self._bank_write = SignatureBank(self.family) if exact else None
         #: running sum of per-live-task false-positive rates (read+write sigs)
         self._fp_sum = 0.0
         #: spurious conflicts generated, for stats
@@ -138,8 +123,6 @@ class BloomConflictModel(ConflictPolicy):
         #: live tasks examined by victim sampling / exact probing
         #: (profiling; folded into metrics only under `repro profile`)
         self.probe_steps = 0
-        #: vectorized whole-bank probes issued (exact mode; profiling)
-        self.bank_probes = 0
 
     # ------------------------------------------------------------------
     def register(self, owner) -> None:
@@ -150,11 +133,6 @@ class BloomConflictModel(ConflictPolicy):
         owner.sig_read = BloomSignature(self.family)
         owner.sig_write = BloomSignature(self.family)
         owner._fp_cached = 0.0
-        if self.exact:
-            # both banks allocate in lockstep, so one row id serves both
-            row = self._bank_read.acquire()
-            self._bank_write.acquire()
-            owner._sig_row = row
 
     def unregister(self, owner) -> None:
         if owner in self._live:
@@ -162,16 +140,9 @@ class BloomConflictModel(ConflictPolicy):
             self._fp_sum -= owner._fp_cached
             if self._fp_sum < 0:
                 self._fp_sum = 0.0
-            if self.exact:
-                self._bank_read.release(owner._sig_row)
-                self._bank_write.release(owner._sig_row)
-                owner._sig_row = -1
 
     def note_access(self, owner, line: int, is_write: bool) -> None:
         sig = owner.sig_write if is_write else owner.sig_read
-        if self.exact:
-            bank = self._bank_write if is_write else self._bank_read
-            bank.insert(owner._sig_row, line)
         if not sig.insert(line):
             # no new bits set: both fills — and therefore the pair rate —
             # are exactly what the last access computed, so the running
@@ -222,39 +193,26 @@ class BloomConflictModel(ConflictPolicy):
         return chosen
 
     def _probe_exact(self, owner, line: int, is_write: bool):
-        """Bit-accurate probe of every live signature (small runs only).
+        """Bit-accurate pairwise probe (quadratic; small runs only).
 
         A write probes the other task's read and write signatures; a read
         probes only its write signature — the standard RW/WW conflict
         matrix. Only lines the prober did not truly touch can be *false*
         hits; true hits are handled by the exact indices, so we report any
         signature hit and let the caller dedupe against true conflicts.
-
-        The whole live set is probed in one vectorized pass over the
-        signature banks; hits are then resolved in registration order,
-        which matches the old per-pair Python walk exactly (same first
-        match, same victim).
+        Owners are probed in registration order, so the first match (and
+        hence the victim) never depends on object addresses.
         """
-        owners = list(self._live)
-        n = len(owners)
-        self.probe_steps += n
-        self.bank_probes += 1
-        rows = np.fromiter((o._sig_row for o in owners),
-                           dtype=np.intp, count=n)
-        hits = self._bank_write.probe_rows(line, rows)
-        if is_write:
-            hits |= self._bank_read.probe_rows(line, rows)
-        for i in np.flatnonzero(hits):
-            other = owners[i]
+        for other in self._live:
+            self.probe_steps += 1
             if other is owner:
                 continue
-            if not self._truly_touches(other, line, is_write):
-                self.false_positives += 1
-                return other
+            if other.sig_write.maybe_contains(line) or (
+                    is_write and other.sig_read.maybe_contains(line)):
+                if not self._truly_touches(other, line, is_write):
+                    self.false_positives += 1
+                    return other
         return None
-
-    def live_owners(self) -> List:
-        return list(self._live)
 
     @staticmethod
     def _truly_touches(other, line: int, is_write: bool) -> bool:

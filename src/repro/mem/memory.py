@@ -19,42 +19,18 @@ speculative load/store flows through it:
 Conflict *detection* happens at cache-line granularity (real false
 sharing); versioning and dependences are word-granular.
 
-Engines
+Probing
 -------
 
 Per-access semantics are load-bearing: a conflicting later task must be
 aborted *before* the accessor reads a value, so detection cannot simply be
-deferred to end-of-task. What CAN be batched is the re-probe: within one
-task body, the population of a line's reader/writer indices only changes
-when an access registers a first touch or an abort cascade scrubs a
-victim. ``SpecMemory`` therefore keeps per-line *population epochs* —
-one for reader membership, one for writer membership, each bumped on any
-change — and memoizes, per owner, the epochs at which a line was last
-probed clean. Re-accesses at unchanged epochs skip the victim scans
-entirely: a read-grade memo watches only the writer epoch (new readers
-cannot conflict with a load), a write-grade memo watches both. Since
-probes find work only when the relevant membership changed, the memoized
-decision is exactly the scalar one.
+deferred to end-of-task. Every access therefore walks its line's live
+writer chain (and, for a store, its reader index) and compares VT order
+keys on the spot. ``probe_steps`` counts the candidate owners examined.
 
-Three engines share all bookkeeping and differ only in probing:
-
-- ``fast`` (default) — epoch-memoized probes as above.
-- ``scalar`` — the pre-vectorization reference: a full chain walk on
-  every access, no memoization.
-- ``audit`` — the fast engine, but every memoized skip is cross-checked
-  against a reference probe and any divergence raises
-  :class:`SimulationError` (the ``REPRO_GVT_AUDIT`` pattern).
-
-Select with the constructor's ``engine=`` or the environment:
-``REPRO_MEM_AUDIT=1`` forces ``audit``; ``REPRO_MEM_ENGINE=scalar|fast``
-overrides the default. RunStats-visible counters (loads, stores, true /
-injected conflicts) and all values, victims, and dependences are
-byte-identical across engines; only the profile-only probe counters
-(``probe_steps``, ``fast_hits``, ``slow_probes``, ``epoch_bumps``) differ.
-
-The false-positive sampler and fault hook are deliberately invoked once
-per access in *every* engine — they consume seeded RNG draws, so skipping
-them on the fast path would desynchronize Bloom-mode runs.
+The false-positive sampler and fault hook run once per access — they
+consume seeded RNG draws, so their call sequence is part of the simulated
+result.
 
 Owners are task attempts; the protocol they must satisfy is documented on
 :class:`OwnerProtocol`.
@@ -62,7 +38,6 @@ Owners are task attempts; the protocol they must satisfy is documented on
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -72,8 +47,6 @@ from .address import AddressSpace
 from .conflicts import ConflictPolicy, PreciseConflictModel
 from .undo_log import UndoLog
 
-_ENGINES = ("fast", "scalar", "audit")
-
 
 class OwnerProtocol:
     """What :class:`SpecMemory` requires of a speculative owner.
@@ -82,19 +55,14 @@ class OwnerProtocol:
 
     - ``undo`` (:class:`UndoLog`), ``reads`` / ``writes`` (addr→value, for
       the serializability audit), ``read_lines`` / ``write_lines`` (sets),
-      ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``,
-      ``_okey`` (cached ``order_key()``; refreshed by
-      :meth:`SpecMemory.refresh_order_keys` after global VT rewrites),
-      ``_line_memo`` (line → packed probe epoch, fast engine only).
+      ``deps`` / ``dependents`` (owner sets), ``sig_read`` / ``sig_write``.
 
     Methods the owner class must provide:
 
     - ``order_key()`` — current fractal-VT sort key; totally orders all
       live owners and is consistent for the lifetime of each access chain.
     - ``still_executing()`` — True while the owner's stores are conceptually
-      in flight (its finish event lies in the simulated future). May decay
-      to False during an attempt but never rises again without a fresh
-      attach (the fast engine's memoization relies on this).
+      in flight (its finish event lies in the simulated future).
     """
 
 
@@ -107,31 +75,15 @@ class AccessRecord:
     latency: int
 
 
-def _default_engine() -> str:
-    if os.environ.get("REPRO_MEM_AUDIT", "") == "1":
-        return "audit"
-    return os.environ.get("REPRO_MEM_ENGINE", "") or "fast"
-
-
 class SpecMemory:
     """The chip's shared memory with speculative versioning."""
 
     def __init__(self, space: AddressSpace,
                  conflict_model: Optional[ConflictPolicy] = None,
-                 default_value: Any = 0,
-                 engine: Optional[str] = None):
+                 default_value: Any = 0):
         self.space = space
         self.conflicts = conflict_model or PreciseConflictModel()
         self.default = default_value
-        if engine is None:
-            engine = _default_engine()
-        if engine not in _ENGINES:
-            raise MemoryError_(
-                f"unknown memory engine {engine!r} (expected one of "
-                f"{', '.join(_ENGINES)})")
-        self.engine = engine
-        self._fast = engine != "scalar"
-        self._audit = engine == "audit"
         self._values: Dict[int, Any] = {}
         # line → live speculative readers (insertion-ordered dict-as-set:
         # victim enumeration must not depend on object addresses) /
@@ -140,12 +92,6 @@ class SpecMemory:
         self._line_writers: Dict[int, List] = {}
         # word → VT-ordered live speculative writer chain
         self._word_writers: Dict[int, List] = {}
-        # per-line population epochs (fast engine): bumped whenever a
-        # line's reader (_repoch) / writer (_wepoch) membership changes,
-        # so memoized clean probes invalidate with one int compare. Both
-        # only ever increase, so their sum changes iff either changes.
-        self._repoch: List[int] = [0] * 1024
-        self._wepoch: List[int] = [0] * 1024
         # skip the per-access false-positive sampler when the model never
         # samples (precise mode): it consumes no RNG there, so eliding the
         # call cannot desynchronize anything
@@ -178,15 +124,10 @@ class SpecMemory:
         self.n_stores = 0
         self.n_true_conflicts = 0
         self.n_injected_conflicts = 0
-        # profiling-only counters (out of the metrics registry unless
-        # `repro profile` asks; engines legitimately differ here)
         #: candidate owners examined by per-line conflict checks
+        #: (profiling only: out of the metrics registry unless
+        #: `repro profile` asks)
         self.probe_steps = 0
-        #: accesses that walked the chains (every access, under scalar);
-        #: ``fast_hits`` is derived from this — see the property below
-        self.slow_probes = 0
-        #: line-population changes observed (fast/audit engines)
-        self.epoch_bumps = 0
 
     # ------------------------------------------------------------------
     # owner lifecycle
@@ -200,24 +141,11 @@ class SpecMemory:
         owner.write_lines = set()
         owner.deps = set()
         owner.dependents = set()
-        owner._okey = owner.order_key()
-        owner._line_memo = {}
         self.conflicts.register(owner)
 
     def detach_owner(self, owner) -> None:
         """Drop conflict-model tracking (commit and abort paths)."""
         self.conflicts.unregister(owner)
-
-    def refresh_order_keys(self) -> None:
-        """Re-cache every live owner's VT sort key.
-
-        The simulator calls this after global VT rewrites (zoom,
-        tiebreaker compaction). Rewrites preserve the *relative* order of
-        live tasks, so memoized clean probes stay valid — only the cached
-        keys need recomputing.
-        """
-        for owner in self.conflicts.live_owners():
-            owner._okey = owner.order_key()
 
     # ------------------------------------------------------------------
     # non-speculative access (initialization / result inspection)
@@ -286,60 +214,20 @@ class SpecMemory:
         shift = self._line_shift
         line = addr >> shift if shift is not None else self.space.line_of(addr)
 
-        if self._fast:
-            state = owner._line_memo.get(line)
-            hit = False
-            if state is not None:
-                # epoch lists grow in lockstep (_bump), so one IndexError
-                # guard covers both; unseen lines are at epoch 0
-                try:
-                    if state & 1:
-                        hit = (state >> 1
-                               == self._wepoch[line] + self._repoch[line])
-                    else:
-                        hit = state >> 1 == self._wepoch[line]
-                except IndexError:
-                    hit = state >> 1 == 0
-            if hit:
-                # relevant population unchanged since this owner's last
-                # clean probe of the line: a re-probe finds nothing new.
-                memo_bit = state & 1
-                if self._audit:
-                    self._audit_probe(owner, line, is_write=False)
-            else:
-                self.slow_probes += 1
-                memo_bit = 0
-                key = owner._okey
-                chain = self._line_writers.get(line)
-                if chain:
-                    self.probe_steps += len(chain)
-                    victims = [w for w in chain
-                               if w is not owner and w._okey > key]
-                    if victims:
-                        self.n_true_conflicts += len(victims)
-                        if self.bus:
-                            self._emit_conflict("read-write", owner,
-                                                victims, line)
-                        self._abort(victims, "read-write conflict")
-                    self._abort_if_earlier_writer_running(owner, line, key,
-                                                          chain)
-                    if owner.aborted:
-                        return self.default
-        else:
-            key = owner.order_key()
-            chain = self._line_writers.get(line)
-            if chain:
-                self.probe_steps += len(chain)
-                victims = [w for w in chain
-                           if w is not owner and w.order_key() > key]
-                if victims:
-                    self.n_true_conflicts += len(victims)
-                    if self.bus:
-                        self._emit_conflict("read-write", owner, victims, line)
-                    self._abort(victims, "read-write conflict")
-                self._abort_if_earlier_writer_running(owner, line, key, chain)
-                if owner.aborted:
-                    return self.default
+        key = owner.order_key()
+        chain = self._line_writers.get(line)
+        if chain:
+            self.probe_steps += len(chain)
+            victims = [w for w in chain
+                       if w is not owner and w.order_key() > key]
+            if victims:
+                self.n_true_conflicts += len(victims)
+                if self.bus:
+                    self._emit_conflict("read-write", owner, victims, line)
+                self._abort(victims, "read-write conflict")
+            self._abort_if_earlier_writer_running(owner, line, key, chain)
+            if owner.aborted:
+                return self.default
 
         if self._sample_fp:
             other = self._false_conflict(owner, line, False)
@@ -369,37 +257,10 @@ class SpecMemory:
 
         if addr not in owner.reads and addr not in owner.writes:
             owner.reads[addr] = value
-        if self._fast:
-            registered = line not in owner.read_lines
-            if registered:
-                owner.read_lines.add(line)
-                readers = self._line_readers.get(line)
-                if readers is None:
-                    self._line_readers[line] = {owner: None}
-                else:
-                    readers[owner] = None
-                self._bump(self._repoch, line)
-                self.conflicts.note_access(owner, line, is_write=False)
-            if registered or not hit:
-                # (Re-)memoize post-registration: epoch bumps since the
-                # probe were our own registration or cascade scrubs, both
-                # of which only shrink-or-self the population the clean
-                # probe verified. An unregistered fast hit leaves the
-                # memo exactly as it was — no write needed.
-                try:
-                    wep = self._wepoch[line]
-                    rep = self._repoch[line]
-                except IndexError:
-                    wep = rep = 0
-                if memo_bit:
-                    owner._line_memo[line] = ((wep + rep) << 1) | 1
-                else:
-                    owner._line_memo[line] = wep << 1
-        else:
+        if line not in owner.read_lines:
+            owner.read_lines.add(line)
             self._line_readers.setdefault(line, {})[owner] = None
-            if line not in owner.read_lines:
-                owner.read_lines.add(line)
-                self.conflicts.note_access(owner, line, is_write=False)
+            self.conflicts.note_access(owner, line, is_write=False)
         return value
 
     def store(self, owner, addr: int, value: Any) -> None:
@@ -408,69 +269,28 @@ class SpecMemory:
         shift = self._line_shift
         line = addr >> shift if shift is not None else self.space.line_of(addr)
 
-        if self._fast:
-            state = owner._line_memo.get(line)
-            hit = False
-            if state is not None and state & 1:
-                try:
-                    hit = (state >> 1
-                           == self._wepoch[line] + self._repoch[line])
-                except IndexError:
-                    hit = state >> 1 == 0
-            if hit:
-                # write-grade memo at unchanged epochs: the reader scan
-                # and writer-chain walk would find exactly what the last
-                # one did — nothing.
-                if self._audit:
-                    self._audit_probe(owner, line, is_write=True)
-            else:
-                self.slow_probes += 1
-                key = owner._okey
-                victims = []
-                readers = self._line_readers.get(line)
-                if readers:
-                    self.probe_steps += len(readers)
-                    victims.extend(r for r in readers
-                                   if r is not owner and r._okey > key)
-                chain = self._line_writers.get(line)
-                if chain:
-                    self.probe_steps += len(chain)
-                    victims.extend(w for w in chain
-                                   if w is not owner and w._okey > key
-                                   and w not in victims)
-                if victims:
-                    self.n_true_conflicts += len(victims)
-                    if self.bus:
-                        self._emit_conflict("write", owner, victims, line)
-                    self._abort(victims, "write conflict")
-                if chain:
-                    self._abort_if_earlier_writer_running(owner, line, key,
-                                                          chain)
-                    if owner.aborted:
-                        return
-        else:
-            key = owner.order_key()
-            victims = []
-            readers = self._line_readers.get(line)
-            if readers:
-                self.probe_steps += len(readers)
-                victims.extend(r for r in readers
-                               if r is not owner and r.order_key() > key)
-            chain = self._line_writers.get(line)
-            if chain:
-                self.probe_steps += len(chain)
-                victims.extend(w for w in chain
-                               if w is not owner and w.order_key() > key
-                               and w not in victims)
-            if victims:
-                self.n_true_conflicts += len(victims)
-                if self.bus:
-                    self._emit_conflict("write", owner, victims, line)
-                self._abort(victims, "write conflict")
-            if chain:
-                self._abort_if_earlier_writer_running(owner, line, key, chain)
-                if owner.aborted:
-                    return
+        key = owner.order_key()
+        victims = []
+        readers = self._line_readers.get(line)
+        if readers:
+            self.probe_steps += len(readers)
+            victims.extend(r for r in readers
+                           if r is not owner and r.order_key() > key)
+        chain = self._line_writers.get(line)
+        if chain:
+            self.probe_steps += len(chain)
+            victims.extend(w for w in chain
+                           if w is not owner and w.order_key() > key
+                           and w not in victims)
+        if victims:
+            self.n_true_conflicts += len(victims)
+            if self.bus:
+                self._emit_conflict("write", owner, victims, line)
+            self._abort(victims, "write conflict")
+        if chain:
+            self._abort_if_earlier_writer_running(owner, line, key, chain)
+            if owner.aborted:
+                return
 
         if self._sample_fp:
             other = self._false_conflict(owner, line, True)
@@ -510,62 +330,9 @@ class SpecMemory:
                 self._line_writers[line] = [owner]
             else:
                 lchain.append(owner)
-            if self._fast:
-                self._bump(self._wepoch, line)
             self.conflicts.note_access(owner, line, is_write=True)
-        if self._fast and not hit:
-            # a fast hit leaves the write-grade memo current; a slow probe
-            # (or a grade upgrade) re-records it at the post-registration
-            # epochs, which only our own bump or cascade scrubs moved.
-            try:
-                eps = self._wepoch[line] + self._repoch[line]
-            except IndexError:
-                eps = 0
-            owner._line_memo[line] = (eps << 1) | 1
 
     # ------------------------------------------------------------------
-    def _bump(self, ep: List[int], line: int) -> None:
-        """Advance one line's reader or writer population epoch.
-
-        Both epoch lists grow in lockstep so the hot-path readers can
-        index them under a single IndexError guard.
-        """
-        if line >= len(ep):
-            grow = line + 1025
-            for lst in (self._repoch, self._wepoch):
-                if grow > len(lst):
-                    lst.extend([0] * (grow - len(lst)))
-        ep[line] += 1
-        self.epoch_bumps += 1
-
-    def _audit_probe(self, owner, line: int, is_write: bool) -> None:
-        """Cross-check a memoized skip against the reference probe.
-
-        The fast path claims "a re-probe of this line finds nothing"; run
-        the scalar probe and raise if it would have found victims or a
-        blocking earlier in-flight writer (``REPRO_GVT_AUDIT`` pattern).
-        """
-        key = owner.order_key()
-        if key != owner._okey:
-            raise SimulationError(
-                f"REPRO_MEM_AUDIT: stale cached order key for {owner!r} "
-                f"(cached {owner._okey!r}, live {key!r}); "
-                f"refresh_order_keys() was not called after a VT rewrite")
-        chain = self._line_writers.get(line) or ()
-        victims = [w for w in chain if w is not owner and w.order_key() > key]
-        if is_write and not victims:
-            readers = self._line_readers.get(line) or ()
-            victims = [r for r in readers
-                       if r is not owner and r.order_key() > key]
-        blockers = [w for w in chain
-                    if w is not owner and w.order_key() < key
-                    and w.still_executing()]
-        if victims or blockers:
-            raise SimulationError(
-                f"REPRO_MEM_AUDIT: fast path skipped a probe that finds "
-                f"work — {'store' if is_write else 'load'} of line {line} "
-                f"by {owner!r}: victims={victims} blockers={blockers}")
-
     def _abort_if_earlier_writer_running(self, owner, line: int,
                                          key, chain) -> None:
         """Kill the accessor when an earlier-VT task that wrote this line
@@ -632,14 +399,6 @@ class SpecMemory:
             self._emit_conflict("injected", owner, [owner], line)
         self._abort([owner], "injected conflict")
 
-    def _sample_false_conflict(self, owner, line: int, is_write: bool) -> None:
-        """Sample-and-resolve in one step (kept for tests / direct callers;
-        the hot paths inline the sampling call and only pay for resolution
-        on an actual hit)."""
-        other = self.conflicts.false_conflict(owner, line, is_write)
-        if other is not None:
-            self._resolve_false_positive(owner, other, line)
-
     def _resolve_false_positive(self, owner, other, line: int) -> None:
         if getattr(other, "aborted", False):
             return
@@ -691,7 +450,6 @@ class SpecMemory:
         raising here, with the owner and line at hand, beats the distant
         `assert_quiescent` failure the old swallow-and-continue produced.
         """
-        fast = self._fast
         for line in owner.read_lines:
             readers = self._line_readers.get(line)
             if readers is None or owner not in readers:
@@ -701,8 +459,6 @@ class SpecMemory:
             del readers[owner]
             if not readers:
                 del self._line_readers[line]
-            if fast:
-                self._bump(self._repoch, line)
         for line in owner.write_lines:
             chain = self._line_writers.get(line)
             try:
@@ -713,28 +469,15 @@ class SpecMemory:
                     f"line {line} (memory bookkeeping corrupted)") from None
             if not chain:
                 del self._line_writers[line]
-            if fast:
-                self._bump(self._wepoch, line)
         for dep in owner.deps:
             dep.dependents.discard(owner)
         for dependent in owner.dependents:
             dependent.deps.discard(owner)
         owner.deps = set()
         owner.dependents = set()
-        owner._line_memo = {}
         self.detach_owner(owner)
 
     # ------------------------------------------------------------------
-    @property
-    def fast_hits(self) -> int:
-        """Accesses whose probe was skipped via a valid line memo.
-
-        Every load/store is classified exactly once — memoized skip or
-        chain walk — so the count is derived rather than incremented on
-        the hot path (0 under the scalar engine, which walks every time).
-        """
-        return self.n_loads + self.n_stores - self.slow_probes
-
     @property
     def live_speculative_words(self) -> int:
         """Words currently holding uncommitted speculative values."""

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-#: JSON schema tag for exported profiles (v2 adds the memory-engine
-#: fast-path counters and the Bloom bank counters; all fields additive)
-PROFILE_SCHEMA = "repro.hot-path-profile/2"
+#: JSON schema tag for exported profiles (v3 drops the memory-engine and
+#: Bloom-bank counters; ``memory.fast_hits``/``epoch_bumps`` stay as 0)
+PROFILE_SCHEMA = "repro.hot-path-profile/3"
 
 
 def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
@@ -58,27 +58,19 @@ def collect_profile(sim, wall_s: Optional[float] = None) -> Dict:
                               if queue_queries else 0.0),
         },
         "memory": {
-            "engine": getattr(mem, "engine", "scalar"),
             "accesses": accesses,
             "probe_steps": mem.probe_steps,
             "mean_probe_len": mem.probe_steps / accesses if accesses else 0.0,
             "true_conflicts": mem.n_true_conflicts,
-            "fast_hits": getattr(mem, "fast_hits", 0),
-            "slow_probes": getattr(mem, "slow_probes", 0),
-            "fast_hit_ratio": (getattr(mem, "fast_hits", 0) / accesses
-                               if accesses else 0.0),
-            "epoch_bumps": getattr(mem, "epoch_bumps", 0),
+            # always 0 since the memory has one (unmemoized) probe path;
+            # kept because e2ebench/run.py reads both keys
+            "fast_hits": 0,
+            "epoch_bumps": 0,
         },
         "conflict_model": {
             "model": getattr(sim.conflicts, "name", "?"),
             "probe_steps": conflict_probes,
             "false_positives": getattr(sim.conflicts, "false_positives", 0),
-            "bank_probes": getattr(sim.conflicts, "bank_probes", 0),
-            "bitmap_ops": sum(
-                bank.bitmap_ops
-                for bank in (getattr(sim.conflicts, "_bank_read", None),
-                             getattr(sim.conflicts, "_bank_write", None))
-                if bank is not None),
         },
         "tiebreaker_wraparounds": sim.alloc.wraparounds,
     }
@@ -101,18 +93,8 @@ def fold_into_registry(metrics, profile: Dict) -> None:
         profile["queues"]["scan_steps"]
     metrics.counter("profile_mem_probe_steps").value = \
         profile["memory"]["probe_steps"]
-    metrics.counter("profile_mem_fast_hits").value = \
-        profile["memory"]["fast_hits"]
-    metrics.counter("profile_mem_slow_probes").value = \
-        profile["memory"]["slow_probes"]
-    metrics.counter("profile_mem_epoch_bumps").value = \
-        profile["memory"]["epoch_bumps"]
     metrics.counter("profile_conflict_probe_steps").value = \
         profile["conflict_model"]["probe_steps"]
-    metrics.counter("profile_conflict_bank_probes").value = \
-        profile["conflict_model"]["bank_probes"]
-    metrics.counter("profile_conflict_bitmap_ops").value = \
-        profile["conflict_model"]["bitmap_ops"]
 
 
 def format_profile(profile: Dict) -> str:
@@ -133,11 +115,6 @@ def format_profile(profile: Dict) -> str:
         f"  conflict checks  {m['accesses']:>12,} accesses  "
         f"{m['probe_steps']:>12,} candidate owners probed "
         f"(mean {m['mean_probe_len']:.2f}/access)",
-        f"  {m.get('engine', 'scalar'):<6} engine     "
-        f"{m.get('fast_hits', 0):>12,} memoized skips   "
-        f"{m.get('slow_probes', 0):>12,} chain walks   "
-        f"(hit ratio {m.get('fast_hit_ratio', 0.0):.1%}, "
-        f"{m.get('epoch_bumps', 0):,} epoch bumps)",
         f"  {c['model']:<6} sampling   "
         f"{c['probe_steps']:>12,} live tasks walked   "
         f"{c['false_positives']:>12,} false positives",

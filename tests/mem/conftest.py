@@ -67,6 +67,79 @@ class AbortRecorder:
             self.aborted.append(v)
 
 
+def oracle_victims(live, owner, line, is_write):
+    """Brute-force true-conflict victims of an access, from every live
+    owner's footprint sets and VT keys (never from the memory's indices):
+    later-VT owners that wrote the line, plus, for a store, those that
+    read it."""
+    key = owner.order_key()
+    return {o for o in live
+            if o is not owner and o.order_key() > key
+            and (line in o.write_lines or (is_write and line in o.read_lines))}
+
+
+def oracle_blocked(live, owner, line):
+    """Whether an earlier-VT writer of the line is still executing (the
+    accessor must then abort and retry)."""
+    key = owner.order_key()
+    return any(o is not owner and line in o.write_lines
+               and o.order_key() < key and o.still_executing()
+               for o in live)
+
+
+class OracleMemory(SpecMemory):
+    """A SpecMemory that checks every load and store against the oracle
+    above and fails the test on the first access whose direct aborts
+    differ from it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.live = {}          # attached, not yet committed or rolled back
+        self._calls = None      # (victims, reason) of the current access
+
+    def attach_owner(self, owner):
+        super().attach_owner(owner)
+        self.live[owner] = None
+
+    def detach_owner(self, owner):
+        self.live.pop(owner, None)
+        super().detach_owner(owner)
+
+    def _abort(self, victims, reason):
+        if self._calls is not None:
+            self._calls.append((list(victims), reason))
+        super()._abort(victims, reason)
+
+    def load(self, owner, addr):
+        return self._checked(owner, addr, False, super().load, ())
+
+    def store(self, owner, addr, value):
+        return self._checked(owner, addr, True, super().store, (value,))
+
+    def _checked(self, owner, addr, is_write, access, extra):
+        line = self.space.line_of(addr)
+        want = oracle_victims(self.live, owner, line, is_write)
+        want_blocked = oracle_blocked(self.live, owner, line)
+        self._calls = calls = []
+        try:
+            result = access(owner, addr, *extra)
+        finally:
+            self._calls = None
+        got = [v for victims, reason in calls
+               if reason in ("read-write conflict", "write conflict")
+               for v in victims]
+        blocked = any(reason == "access during earlier writer"
+                      for _, reason in calls)
+        kind = "store" if is_write else "load"
+        assert len(got) == len(set(got)), f"{kind} {addr}: duplicate victims"
+        assert set(got) == want, (
+            f"{kind} {addr} by {owner!r}: aborted {got}, oracle {want}")
+        assert blocked == want_blocked, (
+            f"{kind} {addr} by {owner!r}: blocked={blocked}, "
+            f"oracle {want_blocked}")
+        return result
+
+
 @pytest.fixture
 def space():
     return AddressSpace(line_bytes=64, n_tiles=4)
@@ -74,10 +147,21 @@ def space():
 
 @pytest.fixture(params=["fast", "scalar", "audit"])
 def mem(request, space):
-    """Every memory test runs under all three probe engines: the scalar
-    reference, the memoized fast path, and the self-checking audit engine
-    (which raises on any fast/scalar divergence as the test executes)."""
-    m = SpecMemory(space, PreciseConflictModel(), engine=request.param)
+    """Every memory test runs three ways:
+
+    - ``fast`` — the memory as the simulator builds it (power-of-two
+      lines map words by shift);
+    - ``scalar`` — lines mapped through ``AddressSpace.line_of``, the
+      path non-power-of-two line sizes take;
+    - ``audit`` — an :class:`OracleMemory`, so each access is also
+      checked against the brute-force victim oracle as the test runs.
+    """
+    if request.param == "audit":
+        m = OracleMemory(space, PreciseConflictModel())
+    else:
+        m = SpecMemory(space, PreciseConflictModel())
+        if request.param == "scalar":
+            m._line_shift = None
     m.abort_cascade = AbortRecorder(m)
     return m
 

@@ -1,5 +1,7 @@
 """Tests for H3 Bloom signatures (paper Table 2)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,23 @@ class TestH3Family:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(MemoryError_):
             H3HashFamily(k=4, m_bits=1000)
+
+    def test_indices_match_bitwise_h3_reference(self):
+        """The byte-sliced tables must reproduce textbook H3: per function,
+        the XOR of the matrix rows selected by the key's set bits."""
+        fam = H3HashFamily(k=8, m_bits=2048, seed=5)
+        rng = random.Random(1)
+        keys = [0, 1, (1 << 48) - 1] + [rng.getrandbits(48)
+                                        for _ in range(500)]
+        for key in keys:
+            want = []
+            for fn, matrix in enumerate(fam._matrices):
+                h = 0
+                for bit, row in enumerate(matrix):
+                    if key >> bit & 1:
+                        h ^= row
+                want.append(fn * fam.bank_bits + h)
+            assert fam.indices(key) == tuple(want), hex(key)
 
     def test_h3_linearity(self):
         """H3 is XOR-linear: h(a ^ b) == h(a) ^ h(b) per bank offset."""
@@ -99,88 +118,3 @@ class TestBloomSignature:
         sig.update(range(200))
         # With 64 bits and 200 keys, an unseen key almost surely hits.
         assert sig.maybe_contains(10**9)
-
-
-class TestBatchedOps:
-    """The vectorized paths must agree bit-for-bit with the scalar ones."""
-
-    def test_indices_array_matches_indices(self):
-        fam = H3HashFamily(k=8, m_bits=2048, seed=11)
-        keys = [0, 1, 2, 255, 256, 4097, (1 << 40) + 3]
-        arr = fam.indices_array(keys)
-        for row, k in zip(arr, keys):
-            assert tuple(row) == fam.indices(k)
-
-    def test_insert_many_matches_serial_inserts(self):
-        a = make_sig(bits=512, ways=4, seed=5)
-        b = make_sig(bits=512, ways=4, seed=5)
-        keys = [k * 13 + 1 for k in range(60)]
-        before = a.popcount
-        for k in keys:
-            a.insert(k)
-        added = b.insert_many(keys)
-        assert b._bits == a._bits
-        assert b.popcount == a.popcount
-        assert added == a.popcount - before
-        assert b.inserted == a.inserted
-
-    def test_contains_many_matches_serial_probes(self):
-        sig = make_sig(bits=512, ways=4, seed=5)
-        sig.update(range(0, 120, 3))
-        probes = list(range(0, 200, 7))
-        got = sig.contains_many(probes)
-        assert [bool(x) for x in got] == [sig.maybe_contains(p)
-                                          for p in probes]
-
-
-class TestSignatureBank:
-    def test_bank_matches_signature(self):
-        from repro.mem import SignatureBank
-        fam = H3HashFamily(k=8, m_bits=2048, seed=9)
-        bank = SignatureBank(fam, capacity=4)
-        sig = BloomSignature(fam)
-        row = bank.acquire()
-        for k in range(0, 90, 3):
-            assert bank.insert(row, k) == sig.insert(k)
-        assert bank.popcount(row) == sig.popcount
-        assert bank.fill(row) == sig.fill
-        assert bank.false_positive_rate(row) == sig.false_positive_rate()
-        for p in range(0, 150, 5):
-            assert bank.probe(row, p) == sig.maybe_contains(p)
-
-    def test_probe_rows_matches_per_row_probe(self):
-        import numpy as np
-        from repro.mem import SignatureBank
-        fam = H3HashFamily(k=4, m_bits=512, seed=2)
-        bank = SignatureBank(fam, capacity=2)
-        rows = [bank.acquire() for _ in range(6)]  # forces a growth step
-        for i, row in enumerate(rows):
-            bank.insert_many(row, list(range(i * 10, i * 10 + 8)))
-        for key in range(0, 70, 3):
-            got = bank.probe_rows(key, np.array(rows))
-            assert [bool(x) for x in got] == [bank.probe(r, key)
-                                              for r in rows]
-
-    def test_release_clears_row_for_reuse(self):
-        from repro.mem import SignatureBank
-        fam = H3HashFamily(k=4, m_bits=512, seed=2)
-        bank = SignatureBank(fam, capacity=1)
-        row = bank.acquire()
-        bank.insert(row, 33)
-        assert bank.probe(row, 33)
-        bank.release(row)
-        row2 = bank.acquire()
-        assert row2 == row
-        assert not bank.probe(row2, 33)
-        assert bank.popcount(row2) == 0
-
-    def test_insert_many_matches_scalar_inserts(self):
-        from repro.mem import SignatureBank
-        fam = H3HashFamily(k=8, m_bits=2048, seed=4)
-        bank = SignatureBank(fam, capacity=2)
-        a, b = bank.acquire(), bank.acquire()
-        keys = [k * 7 + 2 for k in range(40)]
-        for k in keys:
-            bank.insert(a, k)
-        bank.insert_many(b, keys)
-        assert (bank._words[a] == bank._words[b]).all()

@@ -1,7 +1,6 @@
-"""Engine selection, satellite bug regressions, and the scalar/fast
-lockstep property test for the vectorized memory layer (ISSUE 10).
+"""Memory regressions and the oracle property test.
 
-Each regression test here fails on the pre-fix code:
+Each regression test here fails on the code it was written against:
 
 - victim enumeration order over a line's reader population (was a set:
   abort order depended on object addresses),
@@ -9,11 +8,12 @@ Each regression test here fails on the pre-fix code:
   unbounded key memo,
 - ``poke()`` accepting lines under live readers / other-word writers,
 - ``_scrub()`` swallowing corruption (``ValueError`` → silent pass).
-"""
 
-import os
-import subprocess
-import sys
+The property test drives random interleavings through an
+:class:`OracleMemory`, which checks every access's victims against a
+brute-force oracle, and then checks the survivors against a serial
+replay in VT order.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +25,12 @@ from repro.mem.bloom import H3HashFamily
 from repro.mem import bloom as bloom_mod
 from repro.mem.conflicts import PreciseConflictModel
 
-from .conftest import AbortRecorder, FakeOwner
+from .conftest import AbortRecorder, FakeOwner, OracleMemory
 
 
-def make_mem(engine):
+def make_mem():
     space = AddressSpace(line_bytes=64, n_tiles=4)
-    m = SpecMemory(space, PreciseConflictModel(), engine=engine)
+    m = OracleMemory(space, PreciseConflictModel())
     m.abort_cascade = AbortRecorder(m)
     return m
 
@@ -42,53 +42,25 @@ def attach(mem, key):
 
 
 # ---------------------------------------------------------------------------
-# engine selection
+# one engine
 # ---------------------------------------------------------------------------
 class TestEngineSelection:
-    def test_constructor_param(self):
-        for engine in ("fast", "scalar", "audit"):
-            assert make_mem(engine).engine == engine
-
     def test_unknown_engine_rejected(self):
+        """There is one memory engine: the constructor has no selector."""
         space = AddressSpace(line_bytes=64, n_tiles=4)
-        with pytest.raises(MemoryError_):
-            SpecMemory(space, engine="turbo")
-
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_AUDIT", raising=False)
-        monkeypatch.delenv("REPRO_MEM_ENGINE", raising=False)
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space).engine == "fast"
-
-    def test_env_engine_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_AUDIT", raising=False)
-        monkeypatch.setenv("REPRO_MEM_ENGINE", "scalar")
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space).engine == "scalar"
-
-    def test_env_audit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_AUDIT", "1")
-        monkeypatch.setenv("REPRO_MEM_ENGINE", "scalar")
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space).engine == "audit"
-
-    def test_constructor_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_AUDIT", "1")
-        space = AddressSpace(line_bytes=64, n_tiles=4)
-        assert SpecMemory(space, engine="scalar").engine == "scalar"
+        with pytest.raises(TypeError):
+            SpecMemory(space, engine="scalar")
 
 
 # ---------------------------------------------------------------------------
-# satellite 1: victim enumeration order over the reader population
+# victim enumeration order over the reader population
 # ---------------------------------------------------------------------------
 class TestVictimOrder:
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_store_victims_follow_registration_order(self, engine):
+    def test_store_victims_follow_registration_order(self, mem):
         """A store that kills several readers of its line must list the
         victims in reader-registration order — with the old set-backed
         reader index the order depended on object addresses (ConflictEvent
         victim lists differed between runs of the same seed)."""
-        mem = make_mem(engine)
         seen = []
         inner = mem.abort_cascade
 
@@ -108,11 +80,9 @@ class TestVictimOrder:
         assert seen[0] == readers  # registration order, not key/id order
         assert all(r.aborted for r in readers)
 
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_store_victims_dedupe_reader_writers(self, engine):
+    def test_store_victims_dedupe_reader_writers(self, mem):
         """An owner that both read and wrote the line is one victim, with
         its reader-position rank."""
-        mem = make_mem(engine)
         seen = []
         inner = mem.abort_cascade
 
@@ -132,7 +102,7 @@ class TestVictimOrder:
 
 
 # ---------------------------------------------------------------------------
-# satellite 2: H3 memo immutability and boundedness
+# H3 memo immutability and boundedness
 # ---------------------------------------------------------------------------
 class TestH3Memo:
     def test_indices_returns_immutable_tuple(self):
@@ -162,60 +132,56 @@ class TestH3Memo:
 
 
 # ---------------------------------------------------------------------------
-# satellite 3: poke() line-granular rejection + poke_fresh slot birth
+# poke() line-granular rejection + poke_fresh slot birth
 # ---------------------------------------------------------------------------
 class TestPokeGuards:
     def test_poke_rejects_line_readers(self):
-        mem = make_mem("fast")
+        mem = make_mem()
         r = attach(mem, 1)
         mem.load(r, 0)
         with pytest.raises(MemoryError_, match="live speculative readers"):
             mem.poke(1, 5)  # different word, same line as the read
 
     def test_poke_rejects_line_writers_on_other_words(self):
-        mem = make_mem("fast")
+        mem = make_mem()
         w = attach(mem, 1)
         mem.store(w, 0, 9)
         with pytest.raises(MemoryError_, match="other words"):
             mem.poke(1, 5)  # word 1 is clean but line 0 has a live writer
 
     def test_poke_rejects_word_writers(self):
-        mem = make_mem("fast")
+        mem = make_mem()
         w = attach(mem, 1)
         mem.store(w, 0, 9)
         with pytest.raises(MemoryError_, match="speculative writers"):
             mem.poke(0, 5)
 
     def test_poke_fresh_allows_birth_on_live_line(self):
-        mem = make_mem("fast")
+        mem = make_mem()
         w = attach(mem, 1)
         mem.store(w, 0, 9)
         mem.poke_fresh(1, 5)  # same line, never-touched word: legal
         assert mem.peek(1) == 5
 
     def test_poke_fresh_rejects_existing_values(self):
-        mem = make_mem("fast")
+        mem = make_mem()
         mem.poke(3, 1)
         with pytest.raises(MemoryError_, match="already holds a value"):
             mem.poke_fresh(3, 2)
 
 
 # ---------------------------------------------------------------------------
-# satellite 4: strict scrub
+# strict scrub
 # ---------------------------------------------------------------------------
 class TestStrictScrub:
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_corrupted_reader_index_raises(self, engine):
-        mem = make_mem(engine)
+    def test_corrupted_reader_index_raises(self, mem):
         o = attach(mem, 1)
         mem.load(o, 0)
         del mem._line_readers[0][o]  # simulate corrupted bookkeeping
         with pytest.raises(SimulationError, match="reader index"):
             mem.commit(o)
 
-    @pytest.mark.parametrize("engine", ["fast", "scalar"])
-    def test_corrupted_writer_chain_raises(self, engine):
-        mem = make_mem(engine)
+    def test_corrupted_writer_chain_raises(self, mem):
         o = attach(mem, 1)
         mem.store(o, 0, 1)
         mem._line_writers[0].remove(o)
@@ -224,32 +190,22 @@ class TestStrictScrub:
 
 
 # ---------------------------------------------------------------------------
-# the audit engine actually audits
+# the oracle audit is independent of the memory's indices
 # ---------------------------------------------------------------------------
 class TestAuditEngine:
-    def test_audit_catches_planted_epoch_divergence(self):
-        """Plant a later writer in a line's chain without bumping the
-        epoch — exactly the corruption the memo relies on never happening
-        — and the next memoized skip must raise."""
-        mem = make_mem("audit")
+    def test_audit_catches_planted_index_divergence(self):
+        """Plant a later writer in a line's writer index without adding the
+        line to its footprint: the memory aborts it, but the oracle (which
+        reads footprints, never indices) expects no victim and fails."""
+        mem = make_mem()
         o = attach(mem, 1)
-        mem.load(o, 0)
         intruder = attach(mem, 9)
-        intruder.write_lines.add(0)
-        mem._line_writers.setdefault(0, []).append(intruder)  # no _bump
-        with pytest.raises(SimulationError, match="skipped a probe"):
-            mem.load(o, 0)
-
-    def test_audit_catches_stale_order_key(self):
-        mem = make_mem("audit")
-        o = attach(mem, 5)
-        mem.load(o, 0)
-        o._key = (2,)  # VT rewrite without refresh_order_keys()
-        with pytest.raises(SimulationError, match="stale cached order key"):
+        mem._line_writers.setdefault(0, []).append(intruder)
+        with pytest.raises(AssertionError, match="oracle"):
             mem.load(o, 0)
 
     def test_audit_clean_run_is_silent(self):
-        mem = make_mem("audit")
+        mem = make_mem()
         o = attach(mem, 1)
         for _ in range(4):
             mem.load(o, 0)
@@ -257,104 +213,45 @@ class TestAuditEngine:
         mem.commit(o)
         mem.assert_quiescent()
 
-    def test_refresh_order_keys_satisfies_audit(self):
-        mem = make_mem("audit")
-        o = attach(mem, 5)
-        mem.load(o, 0)
-        o._key = (2,)
-        mem.refresh_order_keys()
-        mem.load(o, 0)  # no raise
-        mem.commit(o)
-
 
 # ---------------------------------------------------------------------------
-# satellite 5: scalar/fast lockstep property test
+# the memory against the brute-force oracle
 # ---------------------------------------------------------------------------
 OPS = st.lists(
     st.tuples(st.integers(0, 5),            # owner slot
               st.booleans(),                # is_write
-              st.integers(0, 39),           # word address (5 lines of 8)
-              st.integers(0, 7)),           # value
+              st.integers(0, 23),           # word address (3 lines of 8)
+              st.integers(1, 7)),           # value (never the default 0)
     min_size=1, max_size=60)
 
 
-class _Driver:
-    """Drives one SpecMemory instance and records everything observable."""
-
-    def __init__(self, engine, n_owners):
-        self.mem = make_mem(engine)
-        self.trace = []
-        inner = self.mem.abort_cascade
-
-        def record(victims, reason):
-            self.trace.append(("abort", [v._key for v in victims], reason))
-            inner(victims, reason)
-
-        self.mem.abort_cascade = record
-        # interleaved VTs so later slots are later tasks
-        self.owners = [attach(self.mem, i) for i in range(n_owners)]
-
-    def apply(self, ops):
-        for slot, is_write, addr, value in ops:
-            o = self.owners[slot]
-            if o.aborted:
-                self.trace.append(("skip", slot))
-                continue
-            if is_write:
-                self.mem.store(o, addr, value)
-                self.trace.append(("store", slot, addr, value, o.aborted))
-            else:
-                got = self.mem.load(o, addr)
-                self.trace.append(("load", slot, addr, got, o.aborted))
-        for o in self.owners:                # commit survivors in VT order
-            if not o.aborted:
-                self.mem.commit(o)
-        self.mem.assert_quiescent()
-
-    def observable(self):
-        m = self.mem
-        return (self.trace, dict(m._values),
-                [(o._key, o.aborted, sorted(o.reads.items()),
-                  sorted(o.writes.items())) for o in self.owners],
-                (m.n_loads, m.n_stores, m.n_true_conflicts,
-                 m.n_injected_conflicts))
-
-
-class TestLockstepProperty:
+class TestOracleProperty:
     @settings(max_examples=120, deadline=None)
     @given(ops=OPS)
-    def test_scalar_fast_audit_agree(self, ops):
-        """Identical op sequences through all three engines produce
-        identical values, victim cascades (order included), final memory,
-        read/write records, and RunStats-grade counters. The audit engine
-        additionally cross-checks every memoized skip inline."""
-        drivers = [_Driver(e, 6) for e in ("scalar", "fast", "audit")]
-        for d in drivers:
-            d.apply(ops)
-        ref = drivers[0].observable()
-        assert drivers[1].observable() == ref
-        assert drivers[2].observable() == ref
-
-
-# ---------------------------------------------------------------------------
-# cross-process: the env knob reaches a real run
-# ---------------------------------------------------------------------------
-class TestEndToEndEnv:
-    def test_audit_env_run_matches_scalar(self, tmp_path):
-        import json
-        digests = {}
-        for name, env_over in [("scalar", {"REPRO_MEM_ENGINE": "scalar"}),
-                               ("audit", {"REPRO_MEM_AUDIT": "1"})]:
-            out = tmp_path / f"{name}.json"
-            env = dict(os.environ)
-            env.pop("REPRO_MEM_AUDIT", None)
-            env.pop("REPRO_MEM_ENGINE", None)
-            env.update(env_over)
-            r = subprocess.run(
-                [sys.executable, "-m", "repro", "run", "mis", "--cores", "8",
-                 "--metrics-out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert r.returncode == 0, r.stderr
-            digests[name] = json.dumps(
-                json.load(out.open())["stats"], sort_keys=True)
-        assert digests["scalar"] == digests["audit"]
+    def test_memory_matches_oracle(self, ops):
+        """Random interleavings of six owners (slot i has VT key i):
+        every access aborts exactly the oracle's victims (checked inline
+        by OracleMemory), and the survivors, committed in VT order, read
+        and leave exactly what a serial replay in VT order does."""
+        mem = make_mem()
+        owners = [attach(mem, i) for i in range(6)]
+        for slot, is_write, addr, value in ops:
+            o = owners[slot]
+            if o.aborted:
+                continue
+            if is_write:
+                mem.store(o, addr, value)
+            else:
+                mem.load(o, addr)
+        survivors = [o for o in owners if not o.aborted]
+        for o in survivors:
+            mem.commit(o)
+        mem.assert_quiescent()
+        assert not mem.live
+        state = {}
+        for o in survivors:
+            for addr, seen in o.reads.items():
+                assert seen == state.get(addr, 0), (o, addr)
+            state.update(o.writes)
+        assert {a: mem.peek(a) for a in range(24)} == \
+            {a: state.get(a, 0) for a in range(24)}
