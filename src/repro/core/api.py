@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..errors import DomainError, FractalError
-from ..vt import DomainVT, Ordering
+from ..vt import Ordering
 from .domain import Domain
 from .task import TaskDesc
 
@@ -193,12 +193,11 @@ class TaskContext:
                                 hint=hint, label=label)
         timestamp = sub.ordering.validate_timestamp(ts)
         # Budget check: the child VT appends one domain VT to ours.
-        needed = DomainVT(sub.ordering, timestamp if sub.ordering.is_ordered
-                          else 0).bits
+        needed = sub.ordering.vt_bits
         if self.task.vt.bits + needed > self.sim.vt_budget:
             if not self.sim.config.enable_zooming:
-                self.task.vt.child_subdomain(
-                    DomainVT(sub.ordering)).check_budget(self.sim.vt_budget)
+                self.task.vt.child_subdomain(sub.ordering, 0, 0).check_budget(
+                    self.sim.vt_budget)
             raise NeedZoomIn(needed)
         return self._spawn(fn, args, sub, timestamp if sub.ordering.is_ordered
                            else None, hint, label, kind="sub")

@@ -27,7 +27,6 @@ queue dynamics and ordering exactly, and timing to first order.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -53,7 +52,7 @@ from ..telemetry import events as tev
 from ..telemetry.bus import EventBus, EventRingBuffer
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.timeline import TraceBuilder
-from ..vt import DomainVT, FractalVT, Ordering, TiebreakerAllocator
+from ..vt import FractalVT, Ordering, TiebreakerAllocator
 from ..vt.tiebreaker import WrapAround
 from .api import NeedZoomIn, NeedZoomOut, TaskAborted, TaskContext
 from .domain import Domain
@@ -68,6 +67,12 @@ _TICK = 1
 _CORE_FREE = 2
 _FINISH_SPECIAL = 3
 _REQUEUE = 4
+
+
+def _zoom_parked(task: TaskDesc) -> bool:
+    """True for a task spilled onto the zoom stack."""
+    return (task.state is TaskState.SPILLED
+            and getattr(task.spill_buffer, "is_zoom", False))
 
 
 class _WatchdogFire(Exception):
@@ -168,6 +173,7 @@ class Simulator(AllocAPI):
                 tile.cores.append(core)
                 self.cores.append(core)
             self.tiles.append(tile)
+        self._units = [t.unit for t in self.tiles]
         self._special_jobs: List[List] = [[] for _ in range(cfg.n_tiles)]
         self._coalescer_queued = [False] * cfg.n_tiles
         self._spill_buffers: List[SpillBuffer] = []
@@ -183,11 +189,10 @@ class Simulator(AllocAPI):
         self._live: Dict[TaskDesc, None] = {}
         # aborted tasks waiting out the rollback latency before re-queueing
         self._limbo: Dict[TaskDesc, None] = {}
-        # incrementally-maintained GVT bound over the live set; with
-        # REPRO_GVT_AUDIT=1 every query is cross-checked against the
-        # reference linear scan (_compute_gvt_linear)
+        # incrementally-maintained GVT bound over the live set;
+        # tests/core/test_gvt_oracle.py cross-checks it against the
+        # reference linear scan (_compute_gvt_linear) on every query
         self._frontier = GvtFrontier()
-        self._gvt_audit = os.environ.get("REPRO_GVT_AUDIT", "") == "1"
         self._finished: List[TaskDesc] = []
         self._executing: Optional[TaskDesc] = None
         self._executing_ctx: Optional[TaskContext] = None
@@ -273,10 +278,8 @@ class Simulator(AllocAPI):
                         timestamp=timestamp if
                         self.root_domain.ordering.is_ordered else None,
                         hint=hint, label=label)
-        dvt = DomainVT(self.root_domain.ordering,
-                       timestamp if self.root_domain.ordering.is_ordered else 0
-                       ).with_lower_bound(self.alloc.lower_bound(0))
-        task.vt = FractalVT([dvt])
+        task.vt = FractalVT.root(self.root_domain.ordering, timestamp,
+                                 self.alloc.lower_bound(0))
         task.enqueue_time = 0
         self._admit(task)
         return task
@@ -377,8 +380,7 @@ class Simulator(AllocAPI):
 
     def _admit(self, task: TaskDesc) -> None:
         """Place a new or re-enqueued pending task into a task unit."""
-        units = [t.unit for t in self.tiles]
-        tile_id = self.scheduler.tile_for(task.hint, units,
+        tile_id = self.scheduler.tile_for(task.hint, self._units,
                                           hard_cap=self._resil is not None)
         self._live[task] = None
         self._frontier.add_dyn(task)
@@ -398,10 +400,7 @@ class Simulator(AllocAPI):
 
     def _requeue(self, task: TaskDesc) -> None:
         """Re-enqueue an aborted / zoom-released / restored task."""
-        dvt = task.vt.last
-        lb = DomainVT(dvt.ordering, dvt.timestamp).with_lower_bound(
-            self.alloc.lower_bound(self.now))
-        task.vt = task.vt.child_same_domain(lb)
+        task.vt = task.vt.with_tiebreaker(self.alloc.lower_bound(self.now))
         task.enqueue_time = self.now
         tile_id = task.queue_tile if task.queue_tile >= 0 else 0
         self.tiles[tile_id].unit.enqueue(task)
@@ -412,17 +411,16 @@ class Simulator(AllocAPI):
                        kind: str) -> None:
         """Called by TaskContext._spawn for every child enqueue."""
         parent = ctx.task
-        dvt = DomainVT(child.domain.ordering,
-                       child.timestamp if child.domain.ordering.is_ordered
-                       else 0).with_lower_bound(
-                           self.alloc.lower_bound(self.now))
+        ordering = child.domain.ordering
+        ts = child.timestamp if ordering.is_ordered else 0
+        lb = self.alloc.lower_bound(self.now)
         if kind == "same":
-            child.vt = parent.vt.child_same_domain(dvt)
+            child.vt = parent.vt.child_same_domain(ordering, ts, lb)
         elif kind == "sub":
-            child.vt = parent.vt.child_subdomain(dvt).check_budget(
-                self.vt_budget)
+            child.vt = parent.vt.child_subdomain(ordering, ts, lb
+                                                 ).check_budget(self.vt_budget)
         else:
-            child.vt = parent.vt.child_superdomain(dvt)
+            child.vt = parent.vt.child_superdomain(ordering, ts, lb)
         child.enqueue_time = self.now
         self._admit(child)
         # enqueue messages to a remote tile traverse the mesh
@@ -479,7 +477,7 @@ class Simulator(AllocAPI):
         preemption, else splitters chase stale bounds in circles.
         """
         return key[:-1] + ((key[-1][0],
-                            self.alloc.lower_bound(self.now).raw),)
+                            self.alloc.lower_bound(self.now)),)
 
     def _pick_job(self, tile: Tile, allow_tasks: bool = True):
         specials = self._special_jobs[tile.tid]
@@ -500,7 +498,7 @@ class Simulator(AllocAPI):
                 # min over *stripped* keys — frozen-key minima mix depths
                 # incomparably (same pitfall as the GVT computation)
                 if now_lb is None:
-                    now_lb = self.alloc.lower_bound(self.now).raw
+                    now_lb = self.alloc.lower_bound(self.now)
                 key = job.buffer.min_stripped(now_lb)
                 if best_key is None or key < best_key:
                     best_i, best_key = i, key
@@ -523,7 +521,7 @@ class Simulator(AllocAPI):
         except WrapAround:
             self._compact_tiebreakers()
             tb = self.alloc.alloc(self.now, core.cid)
-        task.vt = task.vt.finalized(tb)
+        task.vt = task.vt.with_tiebreaker(tb)
         task.state = TaskState.RUNNING
         self._frontier.add_run(task)
         task.core = core
@@ -714,22 +712,12 @@ class Simulator(AllocAPI):
     def _compute_gvt(self) -> Optional[tuple]:
         """Earliest-unfinished VT bound (the GVT), from the incremental
         frontier index (see :class:`~repro.arch.gvt.GvtFrontier`).
-
-        With ``REPRO_GVT_AUDIT=1`` every query is cross-checked against
-        the reference linear scan and any divergence raises.
         """
-        now_lb = self.alloc.lower_bound(self.now).raw
-        best = self._frontier.min_key(now_lb)
-        if self._gvt_audit:
-            ref = self._compute_gvt_linear(now_lb)
-            if ref != best:
-                raise SimulationError(
-                    f"GVT frontier divergence at cycle {self.now}: "
-                    f"indexed={best!r} linear={ref!r}")
-        return best
+        return self._frontier.min_key(self.alloc.lower_bound(self.now))
 
     def _compute_gvt_linear(self, now_lb: int) -> Optional[tuple]:
-        """Reference GVT: linear scan over the live set (audit mode only).
+        """Reference GVT: linear scan over the live set (test oracle for
+        :meth:`_compute_gvt`).
 
         The dynamic bound must be applied *per task*: tasks at different
         nesting depths splice the fresh tiebreaker at different key
@@ -993,9 +981,13 @@ class Simulator(AllocAPI):
 
     def _active_live(self) -> List[TaskDesc]:
         """Live tasks excluding those parked on the zoom stack."""
-        return [t for t in self._live
-                if not (t.state is TaskState.SPILLED
-                        and getattr(t.spill_buffer, "is_zoom", False))]
+        return [t for t in self._live if not _zoom_parked(t)]
+
+    def _has_active_live(self) -> bool:
+        """``bool(self._active_live())``, stopping at the first hit. Scans
+        newest first: zoom-parked tasks are mostly older than the
+        zoomed-in work."""
+        return any(not _zoom_parked(t) for t in reversed(self._live))
 
     def _extract_pending(self, task: TaskDesc) -> None:
         """Pull a non-speculative task out of wherever it waits (zoom-in)."""

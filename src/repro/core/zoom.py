@@ -17,11 +17,11 @@ prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..telemetry.events import ZoomEvent
-from ..vt import DomainVT, FractalVT, Ordering, Tiebreaker
+from ..vt import Ordering
 from .task import TaskState
 from ..arch.spill import SpillBuffer
 
@@ -56,6 +56,11 @@ class ZoomController:
         self.sim = sim
         self.frames: List[ZoomFrame] = []
         self.requests: List[ZoomRequest] = []
+        # The two smallest (order key, task) among active live tasks,
+        # computed at most once per process() pass and dropped whenever a
+        # release or zoom rewrites VTs: the wait checks of every request
+        # in the pass read them instead of each scanning the live set.
+        self._earliest: Optional[List[Tuple[tuple, object]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -75,6 +80,7 @@ class ZoomController:
     def process(self) -> None:
         """Attempt every outstanding request (called from the GVT tick)."""
         sim = self.sim
+        self._earliest = None
         for req in list(self.requests):
             task = req.task
             if task.state is not TaskState.WAIT_ZOOM:
@@ -87,8 +93,27 @@ class ZoomController:
         # Auto zoom-out: the zoomed-in region drained with outer work
         # parked (possibly several empty frames if spilled tasks were
         # squashed meanwhile).
-        while self.frames and not sim._active_live():
+        while self.frames and not sim._has_active_live():
             self.zoom_out()
+
+    def _earliest_other(self, task) -> Optional[tuple]:
+        """Smallest order key among active live tasks other than ``task``,
+        or None when there is none."""
+        earliest = self._earliest
+        if earliest is None:
+            first = second = None
+            for t in self.sim._active_live():
+                key = t.order_key()
+                if first is None or key < first[0]:
+                    first, second = (key, t), first
+                elif second is None or key < second[0]:
+                    second = (key, t)
+            earliest = self._earliest = [p for p in (first, second)
+                                         if p is not None]
+        for key, t in earliest:
+            if t is not task:
+                return key
+        return None
 
     # ------------------------------------------------------------------
     def _try_zoom_in(self, req: ZoomRequest) -> None:
@@ -103,17 +128,16 @@ class ZoomController:
                 f"zoom-in requested by base-domain task {task}: vt_bits="
                 f"{sim.vt_budget} cannot hold two nesting levels of this "
                 f"shape; increase vt_bits")
-        base_key = (task.vt.domains[0].key(),)
+        base_key = task.order_key()[:1]
         # Wait until the base-domain task that shares our base domain VT
         # commits: then nothing at or before that VT is still live.
-        for other in sim._active_live():
-            if other is not task and other.order_key() <= base_key:
-                return
+        other = self._earliest_other(task)
+        if other is not None and other <= base_key:
+            return
         self.zoom_in(task)
         self._release(req)
 
     def _try_zoom_out(self, req: ZoomRequest) -> None:
-        sim = self.sim
         task = req.task
         if task.vt.depth > 1:
             # A zoom-out already happened; the superdomain is reachable.
@@ -122,14 +146,14 @@ class ZoomController:
         if not self.frames:
             raise SimulationError(
                 f"zoom-out requested by {task} with an empty zoom stack")
-        key = task.order_key()
-        for other in sim._active_live():
-            if other is not task and other.order_key() < key:
-                return
+        other = self._earliest_other(task)
+        if other is not None and other < task.order_key():
+            return
         self.zoom_out()
         self._release(req)
 
     def _release(self, req: ZoomRequest) -> None:
+        self._earliest = None  # the requeue gives the task a new key
         self.drop_request(req.task)
         self.sim._zoom_release(req.task)
 
@@ -137,7 +161,10 @@ class ZoomController:
     def zoom_in(self, requester) -> None:
         """Spill the base domain and shift it out of every live VT."""
         sim = self.sim
-        base_dvt = requester.vt.domains[0]
+        self._earliest = None
+        base_ordering = requester.vt.orderings[0]
+        base_key = requester.order_key()[0]  # (timestamp, tiebreaker)
+        base_ts = base_key[0]
 
         # 1. Abort speculative base-domain tasks (recursively eliminating
         #    their descendants, Fig. 13b). Requester is depth >= 2 and not
@@ -151,22 +178,21 @@ class ZoomController:
         victims = [t for t in sim._active_live() if t.vt.depth == 1]
         for t in victims:
             sim._extract_pending(t)
-        frame = ZoomFrame(victims, base_dvt.ordering, base_dvt.timestamp)
+        frame = ZoomFrame(victims, base_ordering, base_ts)
         for t in victims:
             t.state = TaskState.SPILLED
             t.spill_buffer = frame.buffer
         self.frames.append(frame)
-        sim.arbiter.push_base(base_dvt.ordering, base_dvt.timestamp)
+        sim.arbiter.push_base(base_ordering, base_ts)
 
         # 3. The outermost subdomain becomes the base (Fig. 13d): every
         #    remaining task shares the requester's base domain VT; shift
         #    it out.
-        base_key = base_dvt.key()
         for t in sim._active_live():
-            if t.vt.domains[0].key() != base_key:
+            if t.order_key()[0] != base_key:
                 raise SimulationError(
                     f"zoom-in: live task {t} does not share base VT "
-                    f"{base_dvt!r}")
+                    f"{base_key!r}")
             t.vt = t.vt.drop_base()
         sim._rebuild_queues()
         if sim._ebus is not None:
@@ -176,16 +202,16 @@ class ZoomController:
     def zoom_out(self) -> None:
         """Restore the most recently spilled base domain."""
         sim = self.sim
+        self._earliest = None
         frame = self.frames.pop()
         ordering, timestamp = sim.arbiter.pop_base()
-        restored = DomainVT(ordering,
-                            timestamp if ordering.is_ordered else 0,
-                            Tiebreaker(raw=0, cycle=0, tile=0))
+        if not ordering.is_ordered:
+            timestamp = 0
         # Right-shift every live VT, prepending the restored base domain VT
         # with a zero tiebreaker: the zoomed region holds all the earliest
         # active tasks, so this changes no order relations.
         for t in sim._active_live():
-            t.vt = t.vt.with_base(restored)
+            t.vt = t.vt.with_base(ordering, timestamp, 0)
         restored_tasks = list(frame.buffer.tasks)
         for t in restored_tasks:
             t.state = TaskState.PENDING

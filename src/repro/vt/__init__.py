@@ -8,10 +8,12 @@ yields a total order that enforces Fractal's cross-domain atomicity.
 Public API:
 
 - :class:`Ordering` — domain ordering semantics (unordered / 32b / 64b).
-- :class:`Tiebreaker` / :class:`TiebreakerAllocator` — (cycle, tile)
-  tiebreakers with wrap-around compaction (paper Sec. 4.4).
-- :class:`DomainVT` — a single domain's virtual time.
-- :class:`FractalVT` — the concatenated, budget-checked fractal VT.
+- :class:`TiebreakerAllocator` — raw (cycle || tile) tiebreakers with
+  wrap-around compaction (paper Sec. 4.4).
+- :class:`FractalVT` — the fractal VT as its sort key, with per-depth
+  orderings and budget-checked bit accounting.
+- :class:`DomainVT` / :class:`Tiebreaker` — debug views of one domain VT
+  and one tiebreaker value (see :attr:`FractalVT.domains`).
 """
 
 from .ordering import Ordering

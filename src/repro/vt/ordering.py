@@ -6,6 +6,9 @@ import enum
 
 from ..errors import TimestampError
 
+#: Timestamp bits per ordering value (paper Fig. 10).
+_TIMESTAMP_BITS = {"unordered": 0, "ordered-32b": 32, "ordered-64b": 64}
+
 
 class Ordering(enum.Enum):
     """Ordering semantics of a Fractal domain.
@@ -15,31 +18,29 @@ class Ordering(enum.Enum):
     parent-child dependences. ``ORDERED_32`` / ``ORDERED_64`` domains carry
     program-visible timestamps of the given width, and tasks appear to run
     in increasing timestamp order.
+
+    Each member carries its per-ordering constants as plain attributes
+    (``is_ordered``, ``timestamp_bits``, ``max_timestamp``, ``vt_bits``):
+    VT derivation reads them on every enqueue, where a property chain or
+    a dict keyed by the member (Python-level enum ``__hash__``) would cost
+    more than the arithmetic they feed.
     """
 
     UNORDERED = "unordered"
     ORDERED_32 = "ordered-32b"
     ORDERED_64 = "ordered-64b"
 
-    @property
-    def is_ordered(self) -> bool:
-        """True for timestamp-ordered domains."""
-        return self is not Ordering.UNORDERED
-
-    @property
-    def timestamp_bits(self) -> int:
-        """Bits the program timestamp contributes to a domain VT (Fig. 10)."""
-        if self is Ordering.UNORDERED:
-            return 0
-        if self is Ordering.ORDERED_32:
-            return 32
-        return 64
-
-    @property
-    def max_timestamp(self) -> int:
-        """Largest representable timestamp (0 for unordered domains)."""
-        bits = self.timestamp_bits
-        return (1 << bits) - 1 if bits else 0
+    def __init__(self, value: str):
+        bits = _TIMESTAMP_BITS[value]
+        #: True for timestamp-ordered domains.
+        self.is_ordered = bits > 0
+        #: Bits the program timestamp contributes to a domain VT (Fig. 10).
+        self.timestamp_bits = bits
+        #: Largest representable timestamp (0 for unordered domains).
+        self.max_timestamp = (1 << bits) - 1
+        #: Bits one domain VT of this ordering occupies: the timestamp
+        #: plus a 32-bit tiebreaker (Fig. 10).
+        self.vt_bits = bits + 32
 
     def validate_timestamp(self, timestamp) -> int:
         """Check a program timestamp against this ordering; return it.
@@ -47,7 +48,7 @@ class Ordering(enum.Enum):
         Unordered domains must not receive timestamps; ordered domains
         require an integer in ``[0, max_timestamp]``.
         """
-        if self is Ordering.UNORDERED:
+        if not self.is_ordered:
             if timestamp is not None:
                 raise TimestampError(
                     f"unordered domain takes no timestamp, got {timestamp!r}")

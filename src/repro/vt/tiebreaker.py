@@ -8,11 +8,16 @@ wrap around every few tens of milliseconds; :class:`TiebreakerAllocator`
 implements the paper's compaction walk: subtract half the range with
 saturation from every live tiebreaker, then keep allocating from the
 half-range point.
+
+A tiebreaker is its packed ``(cycle || tile)`` integer, exactly the value
+the hardware compares: the allocator hands out and compacts plain ints,
+and fractal VTs store them unwrapped. :class:`Tiebreaker` is a debug view
+that names the fields of one such value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import VTError
@@ -20,26 +25,23 @@ from ..errors import VTError
 
 @dataclass(frozen=True, order=True)
 class Tiebreaker:
-    """An allocated tiebreaker value.
+    """Debug view of a packed tiebreaker value.
 
     ``raw`` is the packed (cycle || tile) integer actually compared in
-    hardware; ``cycle`` and ``tile`` are kept for introspection and traces.
-    Ordering compares ``raw`` only (dataclass field order puts it first).
+    hardware and the only field that takes part in comparisons.
+    ``cycle`` and ``tile`` are its decoded fields, or None when the view
+    was made without the allocator that knows the field widths and the
+    epoch (see :meth:`TiebreakerAllocator.view`).
     """
 
     raw: int
-    cycle: int = 0
-    tile: int = 0
+    cycle: Optional[int] = field(default=None, compare=False)
+    tile: Optional[int] = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # matches the paper's "cycle:tile" notation
+        if self.cycle is None:
+            return f"#{self.raw}"
         return f"{self.cycle}:{self.tile}"
-
-
-#: Sentinel lower-bound used for tasks that have not been dispatched yet
-#: (the paper's "unset tiebreaker" dash in Fig. 12). Compares below any
-#: real tiebreaker allocated at or after the same cycle.
-def lower_bound(cycle: int, tile_bits: int) -> Tiebreaker:
-    return Tiebreaker(raw=cycle << tile_bits, cycle=cycle, tile=0)
 
 
 class TiebreakerAllocator:
@@ -73,7 +75,7 @@ class TiebreakerAllocator:
         # asks for the *current* cycle's bound millions of times per run;
         # one cached entry covers almost all of them. compact() clears it.
         self._lb_cycle = -1
-        self._lb_cached: Optional[Tiebreaker] = None
+        self._lb_cached = 0
 
     # ------------------------------------------------------------------
     def rel_cycle(self, cycle: int) -> int:
@@ -88,8 +90,8 @@ class TiebreakerAllocator:
         """True when allocating at ``cycle`` would overflow the epoch."""
         return self.rel_cycle(cycle) > self.max_rel_cycle
 
-    def alloc(self, cycle: int, tile: int) -> Tiebreaker:
-        """Allocate the tiebreaker for a dispatch at ``cycle`` on ``tile``.
+    def alloc(self, cycle: int, tile: int) -> int:
+        """Allocate the raw tiebreaker for a dispatch at ``cycle`` on ``tile``.
 
         Raises :class:`WrapAround` when the relative cycle overflows; the
         caller must run :meth:`compact` and retry.
@@ -99,30 +101,36 @@ class TiebreakerAllocator:
         rel = self.rel_cycle(cycle)
         if rel > self.max_rel_cycle:
             raise WrapAround(cycle)
-        raw = (rel << self.tile_bits) | tile
-        return Tiebreaker(raw=raw, cycle=cycle, tile=tile)
+        return (rel << self.tile_bits) | tile
 
-    def lower_bound(self, cycle: int) -> Tiebreaker:
-        """Conservative tiebreaker lower bound for a not-yet-dispatched task
-        enqueued at ``cycle``. Sorts before any tiebreaker allocated at or
-        after ``cycle`` and after any allocated strictly before it."""
+    def lower_bound(self, cycle: int) -> int:
+        """Conservative raw tiebreaker lower bound for a not-yet-dispatched
+        task enqueued at ``cycle`` (the paper's unset "--" tiebreaker of
+        Fig. 12). Sorts before any tiebreaker allocated at or after
+        ``cycle`` and after any allocated strictly before it."""
         if cycle == self._lb_cycle:
             return self._lb_cached
         rel = min(self.rel_cycle(cycle), self.max_rel_cycle)
-        tb = Tiebreaker(raw=rel << self.tile_bits, cycle=cycle, tile=0)
+        tb = rel << self.tile_bits
         self._lb_cycle = cycle
         self._lb_cached = tb
         return tb
 
+    def view(self, raw: int) -> Tiebreaker:
+        """Debug view of ``raw`` decoded in the current epoch. A value at
+        or below the epoch's zero point (a compacted-to-zero or restored
+        tiebreaker) stays undecoded."""
+        rel = raw >> self.tile_bits
+        if rel < 1:
+            return Tiebreaker(raw)
+        return Tiebreaker(raw, cycle=rel - 1 + self._epoch_base,
+                          tile=raw & ((1 << self.tile_bits) - 1))
+
     # ------------------------------------------------------------------
-    def compacted(self, tb: Tiebreaker) -> Tiebreaker:
-        """The value ``tb`` takes after one compaction walk: subtract half
+    def compacted(self, raw: int) -> int:
+        """The value ``raw`` takes after one compaction walk: subtract half
         the raw range, saturating at zero (paper Sec. 4.4 step 1)."""
-        new_raw = max(tb.raw - self.half_raw, 0)
-        half_cycles = self.half_raw >> self.tile_bits
-        return Tiebreaker(raw=new_raw,
-                          cycle=max(tb.cycle - half_cycles, 0),
-                          tile=tb.tile if new_raw else 0)
+        return raw - self.half_raw if raw > self.half_raw else 0
 
     def compact(self, now_cycle: int) -> None:
         """Advance the epoch base by half the cycle range.
@@ -135,7 +143,7 @@ class TiebreakerAllocator:
         half_cycles = self.half_raw >> self.tile_bits
         self._epoch_base += half_cycles
         self._lb_cycle = -1  # epoch moved: cached bound is no longer valid
-        self._lb_cached = None
+        self._lb_cached = 0
         self.wraparounds += 1
         if self.would_wrap(now_cycle):
             # One walk did not create room: the run outlived 1.5x the cycle

@@ -147,3 +147,34 @@ class TestWrapAround:
         sim.audit()
         assert cell.peek() == 61
         assert stats.tiebreaker_wraparounds > 0
+
+
+class TestWaitCheckOracle:
+    """The zoom wait checks read a per-pass cache of the two earliest
+    active tasks; every read must equal a fresh scan of the live set."""
+
+    def test_cached_earliest_matches_scan(self, monkeypatch):
+        from repro.apps import zoomtree
+        from repro.bench.harness import run_app
+        from repro.core.zoom import ZoomController
+
+        cached = ZoomController._earliest_other
+        reads = []
+
+        def checked(zoom, task):
+            got = cached(zoom, task)
+            keys = [t.order_key() for t in zoom.sim._active_live()
+                    if t is not task]
+            assert got == (min(keys) if keys else None)
+            reads.append(got)
+            return got
+
+        monkeypatch.setattr(ZoomController, "_earliest_other", checked)
+        inp = zoomtree.make_input(fanout=4, depth=6)
+        cfg = SystemConfig.with_cores(
+            16, vt_bits=zoomtree.vt_bits_for_depth(2),
+            conflict_mode="precise")
+        run = run_app(zoomtree, inp, variant="fractal", n_cores=16,
+                      config=cfg, max_cycles=80_000_000)
+        zoomtree.check(run.handles, inp)
+        assert run.stats.zoom_ins > 0 and len(reads) > 100

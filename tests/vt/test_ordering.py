@@ -19,6 +19,11 @@ class TestOrderingProperties:
         assert Ordering.ORDERED_32.timestamp_bits == 32
         assert Ordering.ORDERED_64.timestamp_bits == 64
 
+    def test_vt_bits_match_figure_10(self):
+        assert Ordering.UNORDERED.vt_bits == 32
+        assert Ordering.ORDERED_32.vt_bits == 64
+        assert Ordering.ORDERED_64.vt_bits == 96
+
     def test_max_timestamp(self):
         assert Ordering.UNORDERED.max_timestamp == 0
         assert Ordering.ORDERED_32.max_timestamp == 2**32 - 1
